@@ -174,9 +174,8 @@ impl WorkerLedger {
         self.occupied.get(&slot).filter(|set| !set.is_empty())
     }
 
-    /// Releases one commitment (the rollback path of the optimistic master:
-    /// a provisional grant that a late heartbeat superseded is undone).
-    /// Returns `false` when the worker was not occupied at the slot.
+    /// Releases one commitment (a retired plan's execution, or a removed
+    /// worker's placement).  Returns `false` when the worker was not occupied at the slot.
     pub fn release(&mut self, slot: SlotIndex, worker: WorkerId) -> bool {
         let removed = self
             .occupied

@@ -55,23 +55,15 @@ pub use engine::concurrent::{ConcurrentAssignmentEngine, DisjointDrainReport, Sh
 pub use engine::{AssignmentEngine, CacheStats, CandidateCache, ChurnCounters, Objective};
 pub use multi::conflict::{independence_graph, IndependenceGraph};
 pub use multi::gain::GainLedger;
+#[allow(deprecated)]
+pub use multi::group_parallel::msqm_group_parallel;
 pub use multi::group_parallel::GroupParallelOutcome;
-#[allow(deprecated)]
-pub use multi::group_parallel::{msqm_group_parallel, msqm_group_parallel_cached};
-#[allow(deprecated)]
-pub use multi::mmqm::mmqm;
-#[allow(deprecated)]
-pub use multi::msqm::msqm_serial;
-pub use multi::protocol::{
-    CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
-};
+pub use multi::protocol::{CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent};
 pub use multi::rebuild::{mmqm_rebuild, msqm_rebuild, msqm_rebuild_v2};
-#[allow(deprecated)]
-pub use multi::sapprox::sapprox;
 pub use multi::sapprox::SpatioTemporalObjective;
-pub use multi::task_parallel::TaskParallelOutcome;
 #[allow(deprecated)]
-pub use multi::task_parallel::{msqm_task_parallel, msqm_task_parallel_optimistic};
+pub use multi::task_parallel::msqm_task_parallel;
+pub use multi::task_parallel::TaskParallelOutcome;
 pub use multi::{
     ConflictAccounting, MultiOutcome, MultiTaskConfig, RefreshStats, RefreshStrategy,
     TaskCandidate, TaskState,

@@ -6,9 +6,7 @@
 //! aggregated tree).  The master maintains the control structures of the
 //! paper:
 //!
-//! * **Heartbeat table** — the latest heuristic value reported per task, now
-//!   *versioned*: every request carries a version the heartbeat echoes, so
-//!   replies from abandoned timelines are recognisable;
+//! * **Heartbeat table** — the latest heuristic value reported per task;
 //! * **Conflicting table** — records `⟨conflicting tasks, slot, j-th NN⟩`
 //!   describing which tasks competed for a worker and which fallback rank the
 //!   losers must use next;
@@ -24,21 +22,10 @@
 //! channels.  (`tcsc-sim` drives the same machine over simulated network
 //! messages.)
 //!
-//! Two grant policies are offered:
-//!
-//! * [`msqm_task_parallel`] — the paper's deterministic **barrier** master:
-//!   it waits for every outstanding heartbeat before granting an execution,
-//!   so the sequence of executed subtasks — and therefore the final
-//!   assignment plan — is identical to the serial greedy of
-//!   [`super::msqm::msqm_serial`].
-//! * [`msqm_task_parallel_optimistic`] — the **optimistic non-blocking**
-//!   master: grants are decided as soon as a global max is known, applied
-//!   provisionally, and rolled back if a late heartbeat supersedes them (see
-//!   the [`crate::multi::protocol`] docs for the versioned-table mechanics).
-//!   Its *committed* execution sequence is identical to the barrier master's
-//!   — locked in by `tests/optimistic_equivalence.rs` — while conflict-loser
-//!   refreshes overlap with outstanding heartbeats instead of serialising
-//!   behind a full barrier.
+//! The master is the paper's deterministic **barrier** master: it waits for
+//! every outstanding heartbeat before granting an execution, so the sequence
+//! of executed subtasks — and therefore the final assignment plan — is
+//! identical to the serial greedy of [`crate::engine::AssignmentEngine`].
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -49,7 +36,7 @@ use tcsc_index::WorkerIndex;
 use crate::candidates::WorkerLedger;
 use crate::engine::CacheStats;
 use crate::multi::protocol::{
-    CommittedExecution, GrantPolicy, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
+    CommittedExecution, MasterCommand, TaskMaster, TaskOwner, WorkerEvent,
 };
 use crate::multi::{MultiOutcome, MultiTaskConfig, TaskState};
 
@@ -98,19 +85,10 @@ pub struct TaskParallelOutcome {
     pub outcome: MultiOutcome,
     /// The conflicting table accumulated by the master thread.
     pub conflict_table: Vec<ConflictRecord>,
-    /// The logging table (heartbeats and executions, in arrival order; under
-    /// the optimistic policy it may also contain heartbeats of rolled-back
-    /// timelines).
+    /// The logging table (heartbeats and executions, in arrival order).
     pub log: Vec<LogEntry>,
-    /// The committed execution sequence, in grant order (identical between
-    /// the barrier and the optimistic master).
+    /// The committed execution sequence, in grant order.
     pub committed: Vec<CommittedExecution>,
-    /// Number of provisional grants that were rolled back (always 0 under
-    /// the barrier policy).
-    pub rollbacks: usize,
-    /// Number of provisional grants superseded by a late heartbeat winning
-    /// the serial tie-break (a subset of `rollbacks`).
-    pub supersedes: usize,
     /// Number of worker threads used.
     pub threads: usize,
 }
@@ -133,10 +111,7 @@ enum ThreadEvent {
 /// Runs MSQM with the task-level parallel framework on `threads` worker
 /// threads under the deterministic barrier master.  `use_priorities` toggles
 /// the dynamic priority ordering of recomputation requests (Fig. 9(f)).
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel and \
-            GrantPolicy::Barrier"
-)]
+#[deprecated(note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel")]
 pub fn msqm_task_parallel(
     tasks: &[Task],
     index: &WorkerIndex,
@@ -144,54 +119,6 @@ pub fn msqm_task_parallel(
     config: &MultiTaskConfig,
     threads: usize,
     use_priorities: bool,
-) -> TaskParallelOutcome {
-    run_task_parallel(
-        tasks,
-        index,
-        cost_model,
-        config,
-        threads,
-        use_priorities,
-        GrantPolicy::Barrier,
-    )
-}
-
-/// Runs MSQM with the task-level parallel framework under the optimistic
-/// non-blocking master: grants are applied provisionally without waiting for
-/// every outstanding heartbeat and rolled back when superseded.  The
-/// committed execution sequence (and hence the plans) is identical to
-/// [`msqm_task_parallel`].
-#[deprecated(
-    note = "use tcsc::solver::SolverBuilder with Runtime::TaskParallel and \
-            GrantPolicy::Optimistic"
-)]
-pub fn msqm_task_parallel_optimistic(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &(dyn CostModel + Sync),
-    config: &MultiTaskConfig,
-    threads: usize,
-    use_priorities: bool,
-) -> TaskParallelOutcome {
-    run_task_parallel(
-        tasks,
-        index,
-        cost_model,
-        config,
-        threads,
-        use_priorities,
-        GrantPolicy::Optimistic,
-    )
-}
-
-fn run_task_parallel(
-    tasks: &[Task],
-    index: &WorkerIndex,
-    cost_model: &(dyn CostModel + Sync),
-    config: &MultiTaskConfig,
-    threads: usize,
-    use_priorities: bool,
-    policy: GrantPolicy,
 ) -> TaskParallelOutcome {
     assert_eq!(
         config.accounting,
@@ -212,8 +139,6 @@ fn run_task_parallel(
             conflict_table: Vec::new(),
             log: Vec::new(),
             committed: Vec::new(),
-            rollbacks: 0,
-            supersedes: 0,
             threads,
         };
     }
@@ -246,6 +171,10 @@ fn run_task_parallel(
     }
 
     std::thread::scope(|scope| {
+        // Owned by the scope closure: if the master panics, unwinding drops
+        // the senders, the workers' `recv` fails and the scope can join them
+        // and re-raise the panic instead of waiting forever.
+        let command_txs = command_txs;
         // ------------------------------------------------------------------
         // Worker threads: a `TaskOwner` executor each.
         // ------------------------------------------------------------------
@@ -262,9 +191,8 @@ fn run_task_parallel(
                 while let Ok(command) = command_rx.recv() {
                     match command {
                         ThreadCommand::Master(command) => {
-                            if let Some(event) = owner.handle(command, index, cost_model) {
-                                event_tx.send(ThreadEvent::Worker(event)).ok();
-                            }
+                            let event = owner.handle(command, index, cost_model);
+                            event_tx.send(ThreadEvent::Worker(event)).ok();
                         }
                         ThreadCommand::Finish => {
                             let refresh = owner.refresh_stats();
@@ -286,7 +214,6 @@ fn run_task_parallel(
             tasks.len(),
             config.budget,
             WorkerLedger::new(),
-            policy,
             use_priorities,
         );
         let dispatch = |commands: Vec<MasterCommand>, txs: &[Sender<ThreadCommand>]| {
@@ -337,8 +264,7 @@ fn run_task_parallel(
             })
             .collect();
 
-        let (conflict_table, log, committed, conflicts, executions, rollbacks, supersedes) =
-            master.into_tables();
+        let (conflict_table, log, committed, conflicts, executions) = master.into_tables();
         // Each committed conflict (selection-time or loser) triggered exactly
         // one slot refresh on the owning thread; account them like the serial
         // engine does.
@@ -356,8 +282,6 @@ fn run_task_parallel(
             conflict_table,
             log,
             committed,
-            rollbacks,
-            supersedes,
             threads,
         }
     })
@@ -369,7 +293,7 @@ fn run_task_parallel(
 #[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::multi::msqm::msqm_serial;
+    use crate::engine::{AssignmentEngine, Objective};
     use crate::multi::test_support::small_instance;
 
     #[test]
@@ -378,7 +302,8 @@ mod tests {
         // plan (the paper's consistency claim).
         let (tasks, index, cost) = small_instance(41, 6, 25, 120);
         let cfg = MultiTaskConfig::new(60.0);
-        let serial = msqm_serial(&tasks, &index, &cost, &cfg);
+        let serial = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&tasks, Objective::SumQuality);
         for threads in [1, 2, 4] {
             let parallel = msqm_task_parallel(&tasks, &index, &cost, &cfg, threads, true);
             assert!(
@@ -388,7 +313,6 @@ mod tests {
                 serial.sum_quality()
             );
             assert_eq!(parallel.outcome.executions, serial.executions);
-            assert_eq!(parallel.rollbacks, 0, "the barrier master never rolls back");
         }
     }
 
@@ -476,17 +400,5 @@ mod tests {
         let outcome = msqm_task_parallel(&[], &index, &cost, &MultiTaskConfig::new(10.0), 2, true);
         assert_eq!(outcome.outcome.executions, 0);
         assert!(outcome.outcome.assignment.plans.is_empty());
-    }
-
-    #[test]
-    fn optimistic_master_commits_the_barrier_sequence() {
-        let (tasks, index, cost) = small_instance(48, 8, 20, 60);
-        let cfg = MultiTaskConfig::new(70.0);
-        let barrier = msqm_task_parallel(&tasks, &index, &cost, &cfg, 4, true);
-        let optimistic = msqm_task_parallel_optimistic(&tasks, &index, &cost, &cfg, 4, true);
-        assert_eq!(barrier.committed, optimistic.committed);
-        assert_eq!(barrier.outcome.assignment, optimistic.outcome.assignment);
-        assert_eq!(barrier.outcome.conflicts, optimistic.outcome.conflicts);
-        assert_eq!(barrier.outcome.executions, optimistic.outcome.executions);
     }
 }

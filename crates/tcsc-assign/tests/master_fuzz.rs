@@ -1,12 +1,15 @@
-//! Deterministic interleaving fuzz of the optimistic master: the machine is
+//! Deterministic interleaving fuzz of the barrier master: the machine is
 //! driven in-process against [`TaskOwner`] executors with a seeded scheduler
 //! that picks, at every step, either a command to process or an event to
 //! deliver — exploring message orderings real threads would produce (per-owner
 //! command FIFO, arbitrary cross-owner event interleaving).  Every ordering
-//! must commit the barrier sequence with the barrier's conflict count.
+//! must commit the single-threaded driver's sequence with its conflict
+//! count.  In debug builds the master also asserts on every heartbeat that
+//! the task had a request outstanding, so the fuzz checks that no delivery
+//! order ever leaves two heartbeat requests outstanding for one task.
 
-// These suites pin the semantics of the deprecated free-function wrappers
-// against the engines; they call the wrappers on purpose.
+// The reference run goes through the deprecated thread-driver wrapper on
+// purpose: it is the entry point the fuzz pins.
 #![allow(deprecated)]
 
 use std::collections::VecDeque;
@@ -14,8 +17,8 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcsc_assign::{
-    msqm_task_parallel, CommittedExecution, GrantPolicy, MultiTaskConfig, TaskMaster, TaskOwner,
-    TaskState, WorkerLedger,
+    msqm_task_parallel, CommittedExecution, MultiTaskConfig, TaskMaster, TaskOwner, TaskState,
+    WorkerLedger,
 };
 use tcsc_core::{EuclideanCost, Task};
 use tcsc_index::WorkerIndex;
@@ -25,7 +28,6 @@ struct FuzzOutcome {
     committed: Vec<CommittedExecution>,
     conflicts: usize,
     executions: usize,
-    rollbacks: usize,
     sum_quality: f64,
 }
 
@@ -34,7 +36,6 @@ struct FuzzOutcome {
 /// master interleaves freely across owners.
 fn run_interleaved(
     seed: u64,
-    policy: GrantPolicy,
     owners: usize,
     tasks: &[Task],
     index: &WorkerIndex,
@@ -55,13 +56,8 @@ fn run_interleaved(
         })
         .collect();
 
-    let (mut master, initial) = TaskMaster::new(
-        tasks.len(),
-        config.budget,
-        WorkerLedger::new(),
-        policy,
-        true,
-    );
+    let (mut master, initial) =
+        TaskMaster::new(tasks.len(), config.budget, WorkerLedger::new(), true);
     let mut command_queues: Vec<VecDeque<_>> = vec![VecDeque::new(); owners];
     for command in initial {
         command_queues[owner_of[command.task()]].push_back(command);
@@ -86,9 +82,7 @@ fn run_interleaved(
         let (o, is_command) = choices[rng.gen_range(0..choices.len())];
         if is_command {
             let command = command_queues[o].pop_front().expect("chosen non-empty");
-            if let Some(event) = executors[o].handle(command, index, &cost) {
-                event_queues[o].push_back(event);
-            }
+            event_queues[o].push_back(executors[o].handle(command, index, &cost));
         } else {
             let event = event_queues[o].pop_front().expect("chosen non-empty");
             for command in master.handle(event) {
@@ -106,75 +100,79 @@ fn run_interleaved(
         .flat_map(TaskOwner::into_plans)
         .map(|(_, plan)| plan.quality)
         .sum();
-    let (_, _, committed, conflicts, executions, rollbacks, _) = master.into_tables();
+    let (_, _, committed, conflicts, executions) = master.into_tables();
     FuzzOutcome {
         committed,
         conflicts,
         executions,
-        rollbacks,
         sum_quality,
+    }
+}
+
+/// One fuzzed scenario and the delivery orders it is run under.
+struct Case {
+    tasks: usize,
+    slots: usize,
+    workers: usize,
+    budget: f64,
+    seeds: u64,
+    owner_counts: &'static [usize],
+}
+
+/// Runs every seed and owner count of `case` and checks each run against the
+/// single-threaded driver's committed sequence, conflicts, executions and
+/// quality.
+fn assert_every_order_matches_the_reference(case: Case) {
+    let scenario = ScenarioConfig::small()
+        .with_num_tasks(case.tasks)
+        .with_num_slots(case.slots)
+        .with_num_workers(case.workers)
+        .build();
+    let index = WorkerIndex::build(&scenario.workers, case.slots, &scenario.domain);
+    let cost = EuclideanCost::default();
+    let cfg = MultiTaskConfig::new(case.budget);
+    let reference = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, 1, true);
+    for seed in 0..case.seeds {
+        for &owners in case.owner_counts {
+            let run = run_interleaved(seed, owners, &scenario.tasks, &index, &cfg);
+            let at = format!("{} tasks, seed {seed}, {owners} owners", case.tasks);
+            assert_eq!(
+                run.committed, reference.committed,
+                "committed sequence diverged at {at}"
+            );
+            assert_eq!(
+                run.conflicts, reference.outcome.conflicts,
+                "conflict count diverged at {at}"
+            );
+            assert_eq!(run.executions, reference.outcome.executions, "{at}");
+            assert!(
+                (run.sum_quality - reference.outcome.sum_quality()).abs() < 1e-9,
+                "quality diverged at {at}"
+            );
+        }
     }
 }
 
 #[test]
 fn every_delivery_order_commits_the_barrier_outcome() {
-    let scenario = ScenarioConfig::small()
-        .with_num_tasks(8)
-        .with_num_slots(24)
-        .with_num_workers(60)
-        .build();
-    let index = WorkerIndex::build(&scenario.workers, 24, &scenario.domain);
-    let cost = EuclideanCost::default();
-    let cfg = MultiTaskConfig::new(40.0);
-    let reference = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, 1, true);
-    let mut rollbacks_seen = 0usize;
-    for seed in 0..60 {
-        for owners in [1, 3, 8] {
-            let run = run_interleaved(
-                seed,
-                GrantPolicy::Optimistic,
-                owners,
-                &scenario.tasks,
-                &index,
-                &cfg,
-            );
-            assert_eq!(
-                run.committed, reference.committed,
-                "committed sequence diverged at seed {seed}, {owners} owners"
-            );
-            assert_eq!(
-                run.conflicts, reference.outcome.conflicts,
-                "conflict count diverged at seed {seed}, {owners} owners"
-            );
-            assert_eq!(run.executions, reference.outcome.executions);
-            assert!(
-                (run.sum_quality - reference.outcome.sum_quality()).abs() < 1e-9,
-                "quality diverged at seed {seed}, {owners} owners"
-            );
-            rollbacks_seen += run.rollbacks;
-        }
-    }
-    assert!(
-        rollbacks_seen > 0,
-        "the fuzz must exercise the rollback path at least once"
-    );
+    assert_every_order_matches_the_reference(Case {
+        tasks: 8,
+        slots: 24,
+        workers: 60,
+        budget: 40.0,
+        seeds: 60,
+        owner_counts: &[1, 3, 8],
+    });
 }
 
 #[test]
 fn barrier_policy_is_order_insensitive_too() {
-    let scenario = ScenarioConfig::small()
-        .with_num_tasks(6)
-        .with_num_slots(20)
-        .with_num_workers(50)
-        .build();
-    let index = WorkerIndex::build(&scenario.workers, 20, &scenario.domain);
-    let cost = EuclideanCost::default();
-    let cfg = MultiTaskConfig::new(25.0);
-    let reference = msqm_task_parallel(&scenario.tasks, &index, &cost, &cfg, 1, true);
-    for seed in 0..20 {
-        let run = run_interleaved(seed, GrantPolicy::Barrier, 3, &scenario.tasks, &index, &cfg);
-        assert_eq!(run.committed, reference.committed, "seed {seed}");
-        assert_eq!(run.conflicts, reference.outcome.conflicts);
-        assert_eq!(run.rollbacks, 0);
-    }
+    assert_every_order_matches_the_reference(Case {
+        tasks: 6,
+        slots: 20,
+        workers: 50,
+        budget: 25.0,
+        seeds: 20,
+        owner_counts: &[3],
+    });
 }

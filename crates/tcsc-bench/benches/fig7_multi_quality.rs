@@ -30,7 +30,7 @@ fn bench_fig7(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    group.bench_function("msqm_serial_6x40", |b| {
+    group.bench_function("msqm_6x40", |b| {
         b.iter(|| {
             SolverBuilder::new(cfg.budget)
                 .with_config(cfg)

@@ -26,7 +26,7 @@
 //! lazy queue fails to re-score strictly fewer candidates than the eager
 //! contract, or when a multi-shard drain fails to overlap ≥2 regions.
 //! Running `fig9dist` writes `BENCH_fig9d.json` — the distributed-runtime
-//! sweep (node count × latency, barrier vs optimistic master) including the
+//! sweep (node count × latency, barrier master) including the
 //! zero-latency-sim-vs-engine plan-hash gate, and **exits non-zero when the
 //! hashes disagree** so CI fails loudly.
 //! Running `fig9obs` writes `BENCH_obs.json`, a chrome://tracing dump
@@ -142,8 +142,8 @@ fn run_figure(id: &str, scale: Scale) -> bool {
         }
         assert!(
             measurements.digest_uniform,
-            "the logical-stream digest must be identical across node counts, latency models \
-             and grant policies (the trace equivalence lock)"
+            "the logical-stream digest must be identical across node counts and latency \
+             models (the trace equivalence lock)"
         );
         assert!(
             measurements.digest_match,

@@ -12,7 +12,7 @@
 //!   `(time, thread, seq)` ([`ObsSession::merged_events`]);
 //! * a [`MetricsRegistry`] of named counters and fixed-bucket power-of-two
 //!   [`Histogram`]s (p50/p99 assignment latency, per-grant refresh cost,
-//!   rollback/supersede counts, shard-router tile visits, cache hit/miss);
+//!   grant/execution counts, shard-router tile visits, cache hit/miss);
 //! * exporters: a chrome://tracing-compatible JSONL dump
 //!   ([`chrome_trace_jsonl`]), a plain-text summary table
 //!   ([`ObsSession::summary`]), and a stable [`obs_digest`] hash over the
@@ -40,12 +40,13 @@
 //! ## The digest as an equivalence lock
 //!
 //! Virtual-time transport events (message send/recv) depend on the node
-//! layout and latency model, and policy events (grants, rollbacks,
-//! supersedes) depend on the grant policy.  The **logical** events — the
-//! committed executions and the conflict totals — are bit-identical across
-//! all of those by the engine-equivalence guarantees, so [`obs_digest`]
-//! hashes only [`Scope::Logical`] events: same seed ⇒ identical digest
-//! across node counts, latency models and grant policies.  Locked by
+//! layout and latency model, and so do the master's policy events (grants,
+//! heartbeat arrivals, execution confirmations), whose interleaving follows
+//! message delivery.  The **logical** events — the committed executions and
+//! the conflict totals — are bit-identical across all of those by the
+//! engine-equivalence guarantees, so [`obs_digest`] hashes only
+//! [`Scope::Logical`] events: same seed ⇒ identical digest across node
+//! counts and latency models.  Locked by
 //! `tcsc-sim/tests/obs_trace.rs` and gated in CI by the `fig9obs` driver.
 
 #![forbid(unsafe_code)]
@@ -71,15 +72,15 @@ use std::time::Instant;
 /// Which projection of the stream an event belongs to.
 ///
 /// The [`obs_digest`] equivalence lock hashes only [`Scope::Logical`]
-/// events; the other scopes legitimately differ across node layouts,
-/// latency models and grant policies and are "modulo"-ed out.
+/// events; the other scopes legitimately differ across node layouts and
+/// latency models and are "modulo"-ed out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scope {
-    /// Policy- and layout-invariant protocol outcomes (committed executions,
-    /// conflict totals).  The digest hashes exactly these.
+    /// Layout-invariant protocol outcomes (committed executions, conflict
+    /// totals).  The digest hashes exactly these.
     Logical,
-    /// Grant-policy-dependent events: provisional grants, rollbacks,
-    /// supersedes, heartbeat arbitration.
+    /// The master's decision events: grants, heartbeat arrivals and
+    /// execution confirmations, interleaved in message-delivery order.
     Policy,
     /// Network/transport events: message send/recv, node hops.
     Transport,

@@ -8,7 +8,7 @@
 //! * **checkout** — build task states from the shard caches, reconciled
 //!   against the dispatcher's committed-occupancy snapshot;
 //! * **candidate** — the [`tcsc_assign::MasterCommand`]
-//!   compute/refresh/undo/execute protocol, executed by the shared
+//!   compute/refresh/execute protocol, executed by the shared
 //!   [`TaskOwner`] (bit-identical to the thread driver);
 //! * **claim** — replication of committed grants into the owning shard's
 //!   ledger partition, with a double-grant authority check.
@@ -115,23 +115,21 @@ impl Component<NetMessage> for RegionNode {
                     }
                     _ => None,
                 };
-                if let Some(event) =
+                let event =
                     self.owner
-                        .handle(command, self.index.as_ref(), self.cost_model.as_ref())
-                {
-                    let worker_location = match &event {
-                        WorkerEvent::Executed { .. } => location,
-                        WorkerEvent::Heartbeat { .. } => None,
-                    };
-                    ctx.send_after(
-                        self.dispatcher,
-                        NetMessage::Event {
-                            event,
-                            worker_location,
-                        },
-                        self.service_us,
-                    );
-                }
+                        .handle(command, self.index.as_ref(), self.cost_model.as_ref());
+                let worker_location = match &event {
+                    WorkerEvent::Executed { .. } => location,
+                    WorkerEvent::Heartbeat { .. } => None,
+                };
+                ctx.send_after(
+                    self.dispatcher,
+                    NetMessage::Event {
+                        event,
+                        worker_location,
+                    },
+                    self.service_us,
+                );
             }
             NetMessage::Claim {
                 shard,

@@ -1,9 +1,8 @@
 //! The unified [`SolverBuilder`] facade over the multi-task solver zoo.
 //!
-//! The repository grew one free function per (runtime × objective × policy)
-//! point — `msqm_serial`, `mmqm`, `sapprox`, `msqm_task_parallel`,
-//! `msqm_task_parallel_optimistic`, `msqm_group_parallel_cached`, plus the
-//! engine constructors.  The builder collapses that zoo into one declarative
+//! Each runtime has its own entry point — the engine constructors, the
+//! `msqm_task_parallel` / `msqm_group_parallel` framework drivers and the
+//! simulated cluster.  The builder collapses them into one declarative
 //! configuration surface:
 //!
 //! ```
@@ -26,14 +25,14 @@
 //! ```
 //!
 //! Every runtime commits through the same greedy core, so for a fixed
-//! configuration the builder is **bit-identical** to the legacy free
-//! function it replaces (locked by `tests/builder_equivalence.rs`); the
-//! legacy functions remain available as `#[deprecated]` wrappers.
+//! configuration the builder is **bit-identical** to the entry point it
+//! wraps (locked by `tests/builder_equivalence.rs`); the two framework
+//! drivers remain available as `#[deprecated]` wrappers.
 
 use std::rc::Rc;
 
 use tcsc_assign::{
-    AssignmentEngine, ConcurrentAssignmentEngine, ConflictAccounting, GrantPolicy, MultiOutcome,
+    AssignmentEngine, ConcurrentAssignmentEngine, ConflictAccounting, MultiOutcome,
     MultiTaskConfig, Objective, RefreshStrategy, SpatioTemporalObjective,
 };
 use tcsc_core::{CostModel, Domain, InterpolationWeights, Task, WorkerPool};
@@ -43,20 +42,19 @@ use tcsc_sim::{run_cluster, LatencyModel, SimBatch, SimClusterConfig};
 /// Which execution substrate runs the greedy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
-    /// The single-threaded [`AssignmentEngine`] (the `msqm_serial` / `mmqm` /
-    /// `sapprox` substrate).
+    /// The single-threaded [`AssignmentEngine`] (MSQM, MMQM and `SApprox`).
     #[default]
     Serial,
     /// The sharded [`ConcurrentAssignmentEngine`]: region-parallel checkout
     /// and candidate waves, serial deterministic commit loop (and, under
     /// [`ConflictAccounting::V2`] drains, disjoint-region commit overlap).
     Concurrent,
-    /// The task-level parallel master/owner framework
-    /// (`msqm_task_parallel{,_optimistic}`; the grant policy picks the
-    /// barrier or optimistic master).  MSQM only, V1 accounting only.
+    /// The task-level parallel master/owner framework with the paper's
+    /// barrier master (`msqm_task_parallel`).  MSQM only, V1 accounting
+    /// only.
     TaskParallel,
     /// The group-level parallel framework over the conflict-independence
-    /// graph (`msqm_group_parallel{,_cached}`).  MSQM only.
+    /// graph (`msqm_group_parallel`).  MSQM only.
     GroupParallel,
     /// The deterministic discrete-event cluster simulation (`run_cluster`).
     /// MSQM only, V1 accounting only.
@@ -82,7 +80,7 @@ pub enum SolveObjective {
 
 /// Declarative configuration of one multi-task solve: runtime, objective,
 /// assignment parameters, parallelism and shard layout.  See the
-/// [module docs](self) for the zoo it replaces.
+/// [module docs](self) for the entry points it wraps.
 #[derive(Debug, Clone)]
 pub struct SolverBuilder {
     config: MultiTaskConfig,
@@ -90,9 +88,7 @@ pub struct SolverBuilder {
     objective: SolveObjective,
     threads: usize,
     grid: ShardGridConfig,
-    policy: GrantPolicy,
     use_priorities: bool,
-    group_cache: bool,
     sim_nodes: usize,
     sim_latency: LatencyModel,
     sim_seed: u64,
@@ -100,8 +96,8 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// A serial MSQM solve under `budget`, with defaults everywhere else
-    /// (V1 accounting, full refresh, one thread, a 1×1 shard grid, the
-    /// barrier grant policy).
+    /// (the [`MultiTaskConfig::new`] defaults — V1 accounting, incremental
+    /// refresh — one thread and a 1×1 shard grid).
     pub fn new(budget: f64) -> Self {
         Self {
             config: MultiTaskConfig::new(budget),
@@ -109,9 +105,7 @@ impl SolverBuilder {
             objective: SolveObjective::SumQuality,
             threads: 1,
             grid: ShardGridConfig::new(1, 1),
-            policy: GrantPolicy::Barrier,
             use_priorities: true,
-            group_cache: false,
             sim_nodes: 2,
             sim_latency: LatencyModel::Zero,
             sim_seed: 42,
@@ -167,25 +161,10 @@ impl SolverBuilder {
         self
     }
 
-    /// Grant policy of [`Runtime::TaskParallel`] and [`Runtime::Sim`]
-    /// (barrier = deterministic full barrier, optimistic = non-blocking with
-    /// rollback).
-    pub fn with_policy(mut self, policy: GrantPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Whether the task-parallel master uses the priority queue of pending
     /// heartbeats (the paper's configuration) or plain FIFO arbitration.
     pub fn with_priorities(mut self, use_priorities: bool) -> Self {
         self.use_priorities = use_priorities;
-        self
-    }
-
-    /// Whether [`Runtime::GroupParallel`] shares the candidate cache across
-    /// groups (`msqm_group_parallel_cached`) or rebuilds per group.
-    pub fn with_group_cache(mut self, cached: bool) -> Self {
-        self.group_cache = cached;
         self
     }
 
@@ -246,7 +225,6 @@ impl SolverBuilder {
                 self.require_msqm("Runtime::Sim");
                 let mut config =
                     SimClusterConfig::new(self.sim_nodes, 1, self.config.budget, self.sim_latency)
-                        .with_policy(self.policy)
                         .with_seed(self.sim_seed);
                 config.grid = self.grid;
                 config.assignment = self.config;
@@ -294,48 +272,26 @@ impl SolverBuilder {
             Runtime::TaskParallel => {
                 self.require_msqm("Runtime::TaskParallel");
                 #[allow(deprecated)]
-                let result = match self.policy {
-                    GrantPolicy::Barrier => tcsc_assign::msqm_task_parallel(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        self.use_priorities,
-                    ),
-                    GrantPolicy::Optimistic => tcsc_assign::msqm_task_parallel_optimistic(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        self.use_priorities,
-                    ),
-                };
+                let result = tcsc_assign::msqm_task_parallel(
+                    tasks,
+                    index,
+                    cost_model,
+                    &self.config,
+                    self.threads,
+                    self.use_priorities,
+                );
                 result.outcome
             }
             Runtime::GroupParallel => {
                 self.require_msqm("Runtime::GroupParallel");
                 #[allow(deprecated)]
-                let result = if self.group_cache {
-                    let mut cache = tcsc_assign::CandidateCache::new();
-                    tcsc_assign::msqm_group_parallel_cached(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                        &mut cache,
-                    )
-                } else {
-                    tcsc_assign::msqm_group_parallel(
-                        tasks,
-                        index,
-                        cost_model,
-                        &self.config,
-                        self.threads,
-                    )
-                };
+                let result = tcsc_assign::msqm_group_parallel(
+                    tasks,
+                    index,
+                    cost_model,
+                    &self.config,
+                    self.threads,
+                );
                 result.outcome
             }
             Runtime::Concurrent | Runtime::Sim => panic!(

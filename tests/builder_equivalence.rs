@@ -1,15 +1,14 @@
-//! Builder/legacy equivalence: [`SolverBuilder`] is a *facade*, not a fork —
-//! for every runtime it must reproduce the outcome of the deprecated free
-//! function it replaces **bit-for-bit** (plans, conflicts, executions, cache
-//! counters) on the seeded scenario presets.  These suites are the migration
-//! contract: as long as they pass, swapping a legacy call for the builder is
-//! a pure refactor.
-// The whole point of this file is to call the deprecated wrappers next to
-// the builder, so the lint is off for the file.
+//! Builder equivalence: [`SolverBuilder`] is a *facade*, not a fork — for
+//! every runtime it must reproduce the outcome of the entry point it wraps
+//! (the engine, or the deprecated framework driver) **bit-for-bit** (plans,
+//! conflicts, executions, cache counters) on the seeded scenario presets.
+//! As long as these pass, swapping a direct call for the builder is a pure
+//! refactor.
+// The framework drivers are deprecated in favour of the builder; this file
+// calls them next to it on purpose.
 #![allow(deprecated)]
 
 use tcsc::prelude::*;
-use tcsc_assign::CandidateCache;
 
 /// The scenario presets every equivalence assertion sweeps.
 fn presets() -> Vec<(&'static str, ScenarioConfig)> {
@@ -50,13 +49,14 @@ fn prepare(config: &ScenarioConfig) -> (Scenario, WorkerIndex) {
 }
 
 #[test]
-fn serial_builder_matches_msqm_serial() {
+fn serial_builder_matches_the_engine() {
     for (label, preset) in presets() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
         for budget in [20.0, 60.0] {
             let cfg = MultiTaskConfig::new(budget);
-            let legacy = msqm_serial(&scenario.tasks, &index, &cost, &cfg);
+            let legacy = AssignmentEngine::borrowed(&index, &cost, cfg)
+                .assign_batch(&scenario.tasks, Objective::SumQuality);
             let built = SolverBuilder::new(budget).with_config(cfg).solve_indexed(
                 &scenario.tasks,
                 &index,
@@ -74,7 +74,8 @@ fn min_quality_builder_matches_mmqm() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
         let cfg = MultiTaskConfig::new(45.0);
-        let legacy = mmqm(&scenario.tasks, &index, &cost, &cfg);
+        let legacy = AssignmentEngine::borrowed(&index, &cost, cfg)
+            .assign_batch(&scenario.tasks, Objective::MinQuality);
         let built = SolverBuilder::new(45.0)
             .with_config(cfg)
             .with_objective(SolveObjective::MinQuality)
@@ -84,7 +85,7 @@ fn min_quality_builder_matches_mmqm() {
 }
 
 #[test]
-fn task_parallel_builder_matches_both_masters() {
+fn task_parallel_builder_matches_the_barrier_master() {
     for (label, preset) in presets() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
@@ -96,23 +97,13 @@ fn task_parallel_builder_matches_both_masters() {
                 .with_runtime(Runtime::TaskParallel)
                 .with_threads(threads)
                 .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-            assert_eq!(barrier.outcome, built, "{label} barrier t={threads}");
-
-            let optimistic =
-                msqm_task_parallel_optimistic(&scenario.tasks, &index, &cost, &cfg, threads, true);
-            let built = SolverBuilder::new(50.0)
-                .with_config(cfg)
-                .with_runtime(Runtime::TaskParallel)
-                .with_policy(tcsc_assign::GrantPolicy::Optimistic)
-                .with_threads(threads)
-                .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-            assert_eq!(optimistic.outcome, built, "{label} optimistic t={threads}");
+            assert_eq!(barrier.outcome, built, "{label} t={threads}");
         }
     }
 }
 
 #[test]
-fn group_parallel_builder_matches_both_variants() {
+fn group_parallel_builder_matches_the_framework_driver() {
     for (label, preset) in presets() {
         let (scenario, index) = prepare(&preset);
         let cost = EuclideanCost::default();
@@ -123,18 +114,7 @@ fn group_parallel_builder_matches_both_variants() {
             .with_runtime(Runtime::GroupParallel)
             .with_threads(3)
             .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-        assert_eq!(legacy.outcome, built, "{label} plain");
-
-        let mut cache = CandidateCache::new();
-        let cached =
-            msqm_group_parallel_cached(&scenario.tasks, &index, &cost, &cfg, 3, &mut cache);
-        let built = SolverBuilder::new(50.0)
-            .with_config(cfg)
-            .with_runtime(Runtime::GroupParallel)
-            .with_threads(3)
-            .with_group_cache(true)
-            .solve_indexed(&scenario.tasks, &index, &scenario.domain, &cost);
-        assert_eq!(cached.outcome, built, "{label} cached");
+        assert_eq!(legacy.outcome, built, "{label}");
     }
 }
 
@@ -148,14 +128,11 @@ fn spatiotemporal_builder_matches_sapprox() {
             InterpolationWeights::temporal_only(),
             InterpolationWeights::paper_default(),
         ] {
-            let legacy = sapprox(
+            let legacy = AssignmentEngine::borrowed(&index, &cost, cfg).assign_spatiotemporal(
                 &scenario.tasks,
-                &index,
-                &cost,
                 &scenario.domain,
                 weights,
                 SpatioTemporalObjective::Sum,
-                &cfg,
             );
             let built = SolverBuilder::new(40.0)
                 .with_config(cfg)
